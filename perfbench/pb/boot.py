@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence
 from pb import env, inputs, stats
 
 SETUP_REPS = 3
-BOOTS_PER_SETUP = 3
+BOOTS_PER_SETUP = 2
 CACHE_LOAD_REPS = 5
 #: Calibration ticks a child takes before and after its timed work.
 CHILD_TICKS = 10

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
@@ -88,20 +89,46 @@ def _spin(n: int) -> int:
     return s
 
 
+#: Int objects visited in a fixed shuffled order: about 3.6 MB, more than
+#: a core's L2 cache, so visiting them feels the shared cache and memory
+#: contention from other tenants that slows the parser but not ``_spin``,
+#: which stays in L1.  Ints are not tracked by the collector.
+CHASE_OBJECTS = 100000
+CHASE_STEPS = 12000
+_chase_state = None
+
+
+def _chase() -> int:
+    global _chase_state
+    if _chase_state is None:
+        rng = random.Random(0)
+        values = [10 ** 6 + i for i in range(CHASE_OBJECTS)]
+        rng.shuffle(values)
+        _chase_state = (values, rng.sample(range(CHASE_OBJECTS), CHASE_STEPS))
+    values, order = _chase_state
+    s = 0
+    for i in order:
+        s += values[i]
+    return s
+
+
 class Calibrator:
     """How fast this machine runs Python right now, from a fixed loop.
 
     A shared host's speed drifts by a quarter or more over tens of
     seconds, which swamps the differences the benchmark exists to find.
-    Each ``tick`` times a fixed pure-Python loop (no allocation, so no
-    collector work); ``scale`` is the reference loop time over the local
-    median, so ``raw_seconds * scale`` reads the same whichever speed the
-    machine had at that moment.  On this benchmark's reference machine
-    (Intel Xeon, 2 vCPUs, Python 3.11) the loop takes REFERENCE_S.
+    Each ``tick`` times a fixed pure-Python arithmetic loop followed by a
+    walk over int objects scattered beyond the L2 cache (no allocation,
+    so no collector work): under load from other tenants the parser
+    slowed by up to a third while the arithmetic loop alone barely did,
+    and the walk tracks that.  ``scale`` is the reference tick time over
+    the local median, so ``raw_seconds * scale`` reads the same whichever
+    speed the machine had at that moment.  On this benchmark's reference
+    machine (Intel Xeon, 2 vCPUs, Python 3.11) a tick takes REFERENCE_S.
     """
 
     LOOP = 20000
-    REFERENCE_S = 1.5e-3
+    REFERENCE_S = 5.0e-3
     #: Ticks within this many seconds of a moment describe its speed.
     WINDOW_S = 2.0
 
@@ -113,6 +140,7 @@ class Calibrator:
         for _ in range(count):
             started = self.clock()
             _spin(self.LOOP)
+            _chase()
             self.ticks.append((started, self.clock() - started))
 
     def maybe_tick(self, every_s: float = 0.2) -> None:

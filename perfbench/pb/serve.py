@@ -25,14 +25,17 @@ from pb import env, harness, inputs, spans, stats
 #: lock.  At 40 requests/s the overlapping share straddled the tail
 #: percentile and the tail jumped between the two populations from run
 #: to run; at 25 requests/s a slow stretch of the machine still raised
-#: the overlap enough to move p95 by a third.
+#: the overlap enough to move p95 by a third, hence the pacing: the rate
+#: is in reference-machine time (``open_loop``'s ``pace``).
 NOMINAL_RPS = 20.0
-#: Share of the run spent at the nominal rate, in whole passes over the
-#: request pool: 2 passes (196 requests) in a 15 s run, whose tail is
-#: p90.  Whole passes keep the heaviest requests, which set the tail, the
-#: same in every run.  A full collection holds up about 1% of requests,
-#: so p99 would flip between runs that had one and runs that had none.
-NOMINAL_SHARE = 0.75
+#: Length of the fixed-rate phase as a multiple of ``--seconds``, in
+#: whole passes over the request pool: 4 passes (392 requests) in a 15 s
+#: run, whose tail is p95 with 19 samples beyond it.  Whole passes keep
+#: the heaviest requests, which set the tail, the same in every run.
+#: Most requests beyond p95 overlapped another request or waited out a
+#: full collection, so the tail magnifies the host's slow stretches; two
+#: passes left too few samples to even them out.
+NOMINAL_SCALE = 1.3
 #: Fixed rate ladder (requests/s): the highest rung that holds is
 #: recorded as ``serve_max_rps``; each rung sends the pool twice.
 LADDER = (150.0, 300.0)
@@ -78,21 +81,26 @@ def load_requests(seed: int, passes: int, refs: dict, texts: dict
 
 
 async def open_loop(service, reqs: Sequence[dict], schedule: Sequence[float],
-                    idle=None) -> List[Tuple[float, float, float, object]]:
+                    idle=None, pace=None
+                    ) -> List[Tuple[float, float, float, object]]:
     """Send ``reqs[i]`` at ``schedule[i]`` seconds from now, whether or not
     earlier requests have finished.  Returns ``(due, sent, done,
     response)`` per request.  ``idle()`` is called in gaps of more than
-    IDLE_GAP_S before a send."""
+    IDLE_GAP_S before a send.  With ``pace``, the schedule is in
+    reference-machine seconds: each gap is divided by ``pace()``, the
+    machine's current speed relative to the reference, so a slow stretch
+    of a shared host does not raise the load the program sees."""
     results: List[Tuple[float, float, float, object]] = [None] * len(reqs)
 
     async def one(i, body, due, sent):
         response = await service.handle("POST", "/parse", body)
         results[i] = (due, sent, time.perf_counter(), response)
 
-    base = time.perf_counter() + 0.01
+    due, last = time.perf_counter() + 0.01, 0.0
     tasks = []
     for i, (req, at) in enumerate(zip(reqs, schedule)):
-        due = base + at
+        due += (at - last) / (pace() if pace is not None else 1.0)
+        last = at
         delay = due - time.perf_counter()
         if idle is not None and delay > IDLE_GAP_S:
             idle()
@@ -179,7 +187,7 @@ def _texts(refs: dict) -> Dict[str, str]:
 def run(ctx) -> None:
     refs = inputs.load_refs("serve")
     texts = _texts(refs)
-    passes = max(1, int(round(NOMINAL_RPS * ctx.seconds * NOMINAL_SHARE
+    passes = max(1, int(round(NOMINAL_RPS * ctx.seconds * NOMINAL_SCALE
                               / len(refs))))
     reqs = load_requests(ctx.seed, passes, refs, texts)
     schedule = inputs.poisson_schedule(ctx.seed, NOMINAL_RPS, len(reqs))
@@ -202,7 +210,9 @@ async def _untraced(ctx, refs, texts, reqs, schedule) -> None:
             if not (service.admission.executing or service.admission.queued):
                 ctx.cal.maybe_tick()
 
-        results = await open_loop(service, reqs, schedule, idle)
+        ctx.cal.tick(SATURATION_TICKS)
+        results = await open_loop(service, reqs, schedule, idle,
+                                  lambda: ctx.cal.scale(time.perf_counter()))
         latencies = account(ctx, reqs, results, refs)
         dues = [r[0] for r in results]
         late_ms = stats.median([sent - due for due, sent, _d, _r in results]) * 1e3
