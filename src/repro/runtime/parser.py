@@ -23,8 +23,9 @@ Speculation machinery (Section 4):
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
+from repro.atn.states import RuleStartState, RuleStopState
 from repro.atn.transitions import (
     ActionTransition,
     AtomTransition,
@@ -52,6 +53,75 @@ from repro.runtime.token_stream import TokenStream
 from repro.runtime.trees import ErrorNode, RuleNode, TokenNode, TreeBuilder
 
 _MEMO_FAILED = -2  # sentinel stop index for memoized failures
+
+# Op kinds of the lowered rule program (:func:`lower_atn`); every op but
+# predict keeps the state id to continue at in slot 1.
+OP_MATCH = 0      # (kind, next, token_type, AtomTransition)
+OP_MATCH_SET = 1  # (kind, next, token_set, SetTransition)
+OP_PREDICT = 2    # (kind, decision, alt targets, is rule start)
+OP_CALL = 3       # (kind, resume, callee, arg exprs, follow-stack entry)
+OP_SEMPRED = 4    # (kind, next, Predicate)
+OP_ACTION = 5     # (kind, next, SemanticAction)
+
+
+class LoweredProgram(NamedTuple):
+    """The ATN as the interpreter walks it: ``ops[state.id]`` is that
+    state's op (None for stop states and states lowered away), and
+    ``rules[name]`` is ``(start id, stop id, params)``."""
+
+    ops: List[Optional[tuple]]
+    rules: Dict[str, Tuple[int, int, tuple]]
+
+
+def _passes_through(state) -> bool:
+    """A non-decision state whose edge is epsilon or a synpred gate: the
+    walk does nothing there (synpreds only direct prediction)."""
+    if state.is_decision or isinstance(state, RuleStopState) or not state.transitions:
+        return False
+    t = state.transitions[0]
+    if isinstance(t, PredicateTransition):
+        return t.predicate.is_synpred
+    return isinstance(t, EpsilonTransition)
+
+
+def lower_atn(atn, grammar) -> LoweredProgram:
+    """Lower every ATN state once into a flat op (Section 4: the parser is
+    the program the ATN spells out); targets skip pass-through states."""
+
+    def land(state) -> int:
+        while _passes_through(state):
+            state = state.transitions[0].target
+        return state.id
+
+    ops: List[Optional[tuple]] = [None] * len(atn.states)
+    for state in atn.states:
+        if (isinstance(state, RuleStopState) or not state.transitions
+                or _passes_through(state)):
+            continue
+        if state.is_decision:
+            ops[state.id] = (OP_PREDICT, state.decision,
+                             tuple(land(t.target) for t in state.transitions),
+                             isinstance(state, RuleStartState))
+            continue
+        t = state.transitions[0]
+        if isinstance(t, AtomTransition):
+            ops[state.id] = (OP_MATCH, land(t.target), t.token_type, t)
+        elif isinstance(t, SetTransition):
+            ops[state.id] = (OP_MATCH_SET, land(t.target), t.token_set, t)
+        elif isinstance(t, RuleTransition):
+            # Fixed per call site; recovery reads the real follow state.
+            ops[state.id] = (OP_CALL, land(t.follow_state), t.rule_name,
+                             tuple(t.args), (t.follow_state, state.rule_name))
+        elif isinstance(t, PredicateTransition):
+            ops[state.id] = (OP_SEMPRED, land(t.target), t.predicate)
+        elif isinstance(t, ActionTransition):
+            ops[state.id] = (OP_ACTION, land(t.target), t.action)
+        else:  # builder invariant
+            raise AssertionError("unexpected transition %r" % t)
+    rules = {name: (land(start), atn.rule_stop[name].id,
+                    tuple(grammar.rule(name).params))
+             for name, start in atn.rule_start.items()}
+    return LoweredProgram(ops, rules)
 
 
 class ParserOptions:
@@ -161,6 +231,12 @@ class LLStarParser:
         # first prediction so the hot path pays one list index + tuple
         # unpack instead of a property call and six attribute fetches.
         self._table_rows: List[Optional[tuple]] = [None] * len(analysis.records)
+        # The walk's lowered program: built on first use, shared like
+        # ``_continuations`` (racing threads build identical copies).
+        program = getattr(analysis, "_lowered", None)
+        if program is None:
+            program = analysis._lowered = lower_atn(analysis.atn, analysis.grammar)
+        self._ops, self._rule_programs = program
         # Hot-path handle; None keeps every telemetry hook a single check.
         self._telemetry = self.options.telemetry
         # Incremental-reparse state (see repro.runtime.incremental).
@@ -185,6 +261,7 @@ class LLStarParser:
         """
         if rule_name is None:
             rule_name = self.grammar.start_rule
+        self.grammar.rule(rule_name)  # GrammarError for an unknown rule
         budget = self.options.budget
         if budget is not None:
             self._deadline = budget.deadline_from_now()
@@ -238,17 +315,20 @@ class LLStarParser:
         return self._speculating > 0
 
     def _run_rule(self, rule_name: str, arg_values: List[Any]) -> Optional[RuleNode]:
-        rule = self.grammar.rule(rule_name)
+        start, stop, params = self._rule_programs[rule_name]
+        speculating = self._speculating
+        options = self.options
+        stream = self.stream
         memo_key = None
-        if (self.speculating and self.options.memoize and not rule.params):
-            memo_key = (rule_name, self.stream.index)
+        if speculating and options.memoize and not params:
+            memo_key = (rule_name, stream.index)
             cached = self._memo.get(memo_key)
             if cached is not None:
                 if cached == _MEMO_FAILED:
                     raise RecognitionError(
                         "memoized failure of rule %s" % rule_name,
-                        token=self.stream.lt(1), index=self.stream.index)
-                self.stream.seek(cached)
+                        token=stream.lt(1), index=stream.index)
+                stream.seek(cached)
                 return None  # tree building is off while speculating
 
         # Incremental-reparse probe, the memo probe's sibling: a
@@ -258,54 +338,54 @@ class LLStarParser:
         # while speculating (no tree), during recovery mode (grafting
         # would skip the match that ends cascade suppression), and for
         # parameterized invocations (the subtree may depend on args).
-        if (self._reuse is not None and not self.speculating
+        if (self._reuse is not None and not speculating
                 and not self._error_recovery_mode
-                and self.options.build_tree and not arg_values):
-            reused = self._reuse.take(rule_name, self.stream.index)
+                and options.build_tree and not arg_values):
+            reused = self._reuse.take(rule_name, stream.index)
             if reused is not None:
                 return self._graft(reused)
 
-        frame: Dict[str, Any] = dict(zip(rule.params, arg_values))
+        frame: Dict[str, Any] = dict(zip(params, arg_values)) if params else {}
         # The builder opens a node at the entry stream position; the
         # node attaches to its parent only at close, so a failed rule
         # (no recovery) leaves nothing behind in the tree.
-        node = (self._builder.open_rule(rule_name, self.stream.index)
-                if self.options.build_tree and not self.speculating
+        node = (self._builder.open_rule(rule_name, stream.index)
+                if options.build_tree and not speculating
                 else None)
         closed = False
         impure_mark = self._impure_ops
         frame["ctx"] = node
-        if self.options.trace is not None:
-            self.options.trace.enter_rule(rule_name, self.stream.index, self.speculating)
+        trace = options.trace
+        if trace is not None:
+            trace.enter_rule(rule_name, stream.index, speculating > 0)
         tel = self._telemetry
         rule_span = None
-        if tel is not None and not self.speculating:
+        if tel is not None and not speculating:
             tel.record_rule(rule_name)
             if tel.trace_rules:
                 rule_span = tel.start_span("rule:" + rule_name)
         self._rule_depth += 1
         try:
-            budget = self.options.budget
+            budget = options.budget
             if budget is not None:
                 if (budget.max_rule_depth is not None
                         and self._rule_depth > budget.max_rule_depth):
                     raise BudgetExceededError(
                         "rule depth", budget.max_rule_depth,
-                        spent=self._rule_depth, token=self.stream.lt(1),
-                        index=self.stream.index)
+                        spent=self._rule_depth, token=stream.lt(1),
+                        index=stream.index)
                 self._check_deadline()
             try:
-                self._walk(self.atn.rule_start[rule_name], rule_name, frame, node)
+                self._walk(start, stop, rule_name, frame, node)
             except RecognitionError as error:
                 if memo_key is not None:
                     self._memo[memo_key] = _MEMO_FAILED
-                if self.options.trace is not None:
-                    self.options.trace.exit_rule(rule_name, self.stream.index,
-                                                 failed=True)
-                if self.options.recover and not self.speculating:
+                if trace is not None:
+                    trace.exit_rule(rule_name, stream.index, failed=True)
+                if options.recover and not speculating:
                     self._recover(rule_name, error)
                     if node is not None:
-                        self._builder.close_rule(self.stream.index)
+                        self._builder.close_rule(stream.index)
                         closed = True
                     return node
                 raise
@@ -318,18 +398,18 @@ class LLStarParser:
             if rule_span is not None:
                 tel.end_span(rule_span)
         if memo_key is not None:
-            self._memo[memo_key] = self.stream.index
-        if self.options.trace is not None:
-            self.options.trace.exit_rule(rule_name, self.stream.index, failed=False)
+            self._memo[memo_key] = stream.index
+        if trace is not None:
+            trace.exit_rule(rule_name, stream.index, failed=False)
         if node is not None:
-            if (self._track_look and not rule.params
+            if (self._track_look and not params
                     and self._impure_ops == impure_mark):
                 # Pure derivation: tokens [start, max(stop, look_stop)]
                 # fully determine this subtree.  The global high-water
                 # mark is conservative (it may reflect lookahead from
                 # earlier in the parse) but never understates the reach.
                 node.look_stop = self._look_hwm
-            self._builder.close_rule(self.stream.index)
+            self._builder.close_rule(stream.index)
         return node
 
     def _graft(self, node: RuleNode) -> RuleNode:
@@ -352,64 +432,62 @@ class LLStarParser:
             self._telemetry.record_reuse(node.rule_name, node.start, node.stop)
         return node
 
-    def _walk(self, start, rule_name: str, frame: Dict[str, Any],
-              node: Optional[RuleNode]) -> None:
-        state = start
-        stop = self.atn.rule_stop[rule_name]
-        while state is not stop:
-            if state.is_decision:
-                alt = self._adaptive_predict(state.decision, frame)
-                if node is not None and state is start:
-                    node.alt = alt
-                state = state.transitions[alt - 1].target
-                continue
-            transition = state.transitions[0]
-            if isinstance(transition, (AtomTransition, SetTransition)):
-                token = self._match(transition, rule_name)
+    def _walk(self, sid: int, stop: int, rule_name: str,
+              frame: Dict[str, Any], node: Optional[RuleNode]) -> None:
+        """Run the lowered program from ``sid`` to ``stop``.  Nested
+        speculation unwinds before it returns, so its depth is read once."""
+        ops = self._ops
+        stream = self.stream
+        builder = self._builder
+        speculating = self._speculating
+        while sid != stop:
+            op = ops[sid]
+            kind = op[0]
+            if kind == OP_MATCH or kind == OP_MATCH_SET:
+                token = stream.lt(1)
+                if (token.type == op[2] if kind == OP_MATCH
+                        else token.type in op[2]):
+                    stream.consume()
+                    if speculating:
+                        if stream.index > self._deepest_spec_index:
+                            self._deepest_spec_index = stream.index
+                    else:
+                        self._error_recovery_mode = False
+                else:
+                    token = self._mismatch(op[3], token, rule_name)
                 if node is not None:
-                    self._builder.add_token(token)
-                state = transition.target
-            elif isinstance(transition, RuleTransition):
-                args = [self._eval_expr(a, frame) for a in transition.args]
-                self._follow_stack.append((transition.follow_state, rule_name))
+                    builder.add_token(token)
+                sid = op[1]
+            elif kind == OP_PREDICT:
+                alt = self._adaptive_predict(op[1], frame)
+                if node is not None and op[3]:
+                    node.alt = alt
+                sid = op[2][alt - 1]
+            elif kind == OP_CALL:
+                args = [self._eval_expr(a, frame) for a in op[3]] if op[3] else ()
+                follow_stack = self._follow_stack
+                follow_stack.append(op[4])
                 try:
                     # The child attaches to ``node`` via the builder when
                     # it closes; nothing to do here on success.
-                    self._run_rule(transition.rule_name, args)
+                    self._run_rule(op[2], args)
                 finally:
-                    self._follow_stack.pop()
-                state = transition.follow_state
-            elif isinstance(transition, PredicateTransition):
-                if transition.predicate.is_synpred:
-                    # Syntactic predicates only direct prediction; once an
-                    # alternative is chosen, the gate has done its job
-                    # (ANTLR semantics: synpreds are decision directives).
-                    state = transition.target
-                    continue
-                if not self._eval_predicate(transition.predicate, frame):
+                    follow_stack.pop()
+                sid = op[1]
+            elif kind == OP_SEMPRED:
+                if not self._eval_predicate(op[2], frame):
                     raise FailedPredicateError(
-                        transition.predicate, token=self.stream.lt(1),
-                        index=self.stream.index, rule_name=rule_name)
-                state = transition.target
-            elif isinstance(transition, ActionTransition):
-                self._execute_action(transition.action, frame)
-                state = transition.target
-            elif isinstance(transition, EpsilonTransition):
-                state = transition.target
-            else:  # pragma: no cover - builder invariant
-                raise AssertionError("unexpected transition %r" % transition)
+                        op[2], token=stream.lt(1),
+                        index=stream.index, rule_name=rule_name)
+                sid = op[1]
+            else:  # OP_ACTION
+                self._execute_action(op[2], frame)
+                sid = op[1]
 
-    def _match(self, transition, rule_name: str):
-        token = self.stream.lt(1)
-        if transition.matches(token.type):
-            self.stream.consume()
-            if self.speculating:
-                if self.stream.index > self._deepest_spec_index:
-                    self._deepest_spec_index = self.stream.index
-            else:
-                self._error_recovery_mode = False
-            return token
-        if self.speculating:
+    def _mismatch(self, transition, token, rule_name: str):
+        """``token`` failed ``transition``: raise while speculating, else
+        repair inline (atom edges only) and return the token to add."""
+        if self._speculating:
             expected = (self.vocabulary.name_of(transition.token_type)
                         if isinstance(transition, AtomTransition) else repr(transition))
             raise MismatchedTokenError(expected, token, self.stream.index,
@@ -629,27 +707,12 @@ class LLStarParser:
                 reach = self.stream.index + max(probed - 1, backtrack_depth)
                 if reach > self._look_hwm:
                     self._look_hwm = reach
-            depth = max(offset, 1)
-            if self.options.profiler is not None and not self.speculating:
-                self.options.profiler.record(decision, depth, backtracked,
-                                             backtrack_depth)
-            tel = self._telemetry
-            if tel is not None and not self.speculating:
-                tel.record_predict(decision, record.rule_name, depth,
-                                   dfa_hit=not (used_predicates or degraded),
-                                   backtracked=backtracked,
-                                   backtrack_depth=backtrack_depth,
-                                   index=self.stream.index)
-                if used_predicates:
-                    tel.record_fallback(
-                        decision, record.rule_name,
-                        "synpred" if backtracked else "predicates",
-                        self.stream.index)
-                if degraded:
-                    tel.record_fallback(decision, record.rule_name,
-                                        "degraded", self.stream.index)
-            if self.options.trace is not None:
-                self.options.trace.predict(decision, depth, backtracked)
+            options = self.options
+            if options.trace is not None or not self._speculating and (
+                    options.profiler is not None or self._telemetry is not None):
+                self._observe_predict(decision, record, max(offset, 1),
+                                      backtracked, backtrack_depth,
+                                      used_predicates, degraded)
 
     def _adaptive_predict_graph(self, decision: int, record,
                                 frame: Dict[str, Any]) -> int:
@@ -706,27 +769,39 @@ class LLStarParser:
                 reach = self.stream.index + max(probed - 1, backtrack_depth)
                 if reach > self._look_hwm:
                     self._look_hwm = reach
-            depth = max(offset, 1)
-            if self.options.profiler is not None and not self.speculating:
-                self.options.profiler.record(decision, depth, backtracked,
-                                             backtrack_depth)
-            tel = self._telemetry
-            if tel is not None and not self.speculating:
-                tel.record_predict(decision, record.rule_name, depth,
-                                   dfa_hit=not (used_predicates or degraded),
-                                   backtracked=backtracked,
-                                   backtrack_depth=backtrack_depth,
-                                   index=self.stream.index)
-                if used_predicates:
-                    tel.record_fallback(
-                        decision, record.rule_name,
-                        "synpred" if backtracked else "predicates",
-                        self.stream.index)
-                if degraded:
-                    tel.record_fallback(decision, record.rule_name,
-                                        "degraded", self.stream.index)
-            if self.options.trace is not None:
-                self.options.trace.predict(decision, depth, backtracked)
+            options = self.options
+            if options.trace is not None or not self._speculating and (
+                    options.profiler is not None or self._telemetry is not None):
+                self._observe_predict(decision, record, max(offset, 1),
+                                      backtracked, backtrack_depth,
+                                      used_predicates, degraded)
+
+    def _observe_predict(self, decision: int, record, depth: int,
+                         backtracked: bool, backtrack_depth: int,
+                         used_predicates: bool, degraded: bool) -> None:
+        """Report one prediction to the profiler, telemetry and trace
+        listener, in that order."""
+        options = self.options
+        if options.profiler is not None and not self._speculating:
+            options.profiler.record(decision, depth, backtracked,
+                                    backtrack_depth)
+        tel = self._telemetry
+        if tel is not None and not self._speculating:
+            tel.record_predict(decision, record.rule_name, depth,
+                               dfa_hit=not (used_predicates or degraded),
+                               backtracked=backtracked,
+                               backtrack_depth=backtrack_depth,
+                               index=self.stream.index)
+            if used_predicates:
+                tel.record_fallback(
+                    decision, record.rule_name,
+                    "synpred" if backtracked else "predicates",
+                    self.stream.index)
+            if degraded:
+                tel.record_fallback(decision, record.rule_name,
+                                    "degraded", self.stream.index)
+        if options.trace is not None:
+            options.trace.predict(decision, depth, backtracked)
 
     def _materialize_dfa(self, decision: int, record):
         """Degraded mode: this decision has no usable lookahead DFA (a
@@ -755,26 +830,11 @@ class LLStarParser:
         """Flat-table twin of :meth:`_evaluate_predicates`: walk the
         state's row of the predicate arrays in stored (evaluation) order;
         gate objects come interned from the table's pool."""
-        stats = {"backtracked": False, "deepest": 0}
-
-        def eval_leaf(predicate) -> bool:
-            if predicate.is_synpred:
-                stats["backtracked"] = True
-                ok, depth = self._eval_synpred(predicate.synpred)
-                stats["deepest"] = max(stats["deepest"], depth)
-                return ok
-            return self._eval_predicate(predicate, frame)
-
-        contexts = table.pool.contexts
-        pred_ctx = table.pred_ctx
-        pred_alt = table.pred_alt
-        for i in range(table.pred_index[state], table.pred_index[state + 1]):
-            c = pred_ctx[i]
-            if c < 0:  # default edge: ordered-choice fallback
-                return pred_alt[i], stats["backtracked"], stats["deepest"]
-            if contexts[c].evaluate(eval_leaf):
-                return pred_alt[i], stats["backtracked"], stats["deepest"]
-        return None, stats["backtracked"], stats["deepest"]
+        contexts, pred_ctx, pred_alt = table.pool.contexts, table.pred_ctx, table.pred_alt
+        return self._first_true_edge(
+            ((contexts[pred_ctx[i]] if pred_ctx[i] >= 0 else None, pred_alt[i])
+             for i in range(table.pred_index[state], table.pred_index[state + 1])),
+            frame)
 
     def _evaluate_predicates(self, state, decision: int, frame: Dict[str, Any]):
         """Try predicate edges in alternative order; first success wins.
@@ -782,6 +842,14 @@ class LLStarParser:
         Each edge carries a hoisted semantic context (AND/OR tree over
         predicates); synpred leaves evaluate by speculative parsing.
         """
+        return self._first_true_edge(
+            ((context, alt) for context, alt, _target in state.predicate_edges),
+            frame)
+
+    def _first_true_edge(self, edges, frame: Dict[str, Any]):
+        """``(alt, backtracked, deepest speculation)`` for the first of the
+        ``(context, alt)`` edges whose context holds; a None context is
+        the ordered-choice default.  ``alt`` is None when none holds."""
         stats = {"backtracked": False, "deepest": 0}
 
         def eval_leaf(predicate) -> bool:
@@ -792,10 +860,8 @@ class LLStarParser:
                 return ok
             return self._eval_predicate(predicate, frame)
 
-        for context, alt, _target in state.predicate_edges:
-            if context is None:
-                return alt, stats["backtracked"], stats["deepest"]
-            if context.evaluate(eval_leaf):
+        for context, alt in edges:
+            if context is None or context.evaluate(eval_leaf):
                 return alt, stats["backtracked"], stats["deepest"]
         return None, stats["backtracked"], stats["deepest"]
 
@@ -896,7 +962,7 @@ class LLStarParser:
             raise ActionError(expr, e) from e
 
     def _execute_action(self, action, frame: Dict[str, Any]) -> None:
-        if self.speculating and not action.always_exec:
+        if self._speculating and not action.always_exec:
             return  # mutators are deactivated during speculation (Section 4.3)
         self._impure_ops += 1  # grafting would skip re-running this code
         try:

@@ -79,17 +79,19 @@ class ListTokenStream(TokenStream):
         self._tokens = visible
         self._index = 0
 
-    @classmethod
-    def from_lexer(cls, lexer) -> "ListTokenStream":
-        """Drain a lexer (anything iterable over Tokens) into a stream."""
-        return cls(iter(lexer))
-
     # -- TokenStream interface -------------------------------------------
 
     def la(self, offset: int = 1) -> int:
+        # Prediction's hot path: index the list directly.
+        if offset > 0:
+            tokens = self._tokens
+            i = self._index + offset - 1
+            return tokens[i].type if i < len(tokens) else tokens[-1].type
         return self.lt(offset).type
 
     def lt(self, offset: int = 1) -> Token:
+        if offset == 1:
+            return self._tokens[self._index]  # the index never passes EOF
         if offset == 0:
             raise ValueError("lt(0) is undefined; use lt(-1) for previous token")
         if offset < 0:
@@ -132,10 +134,6 @@ class ListTokenStream(TokenStream):
 
     def hidden_tokens(self) -> List[Token]:
         return list(self._hidden)
-
-    def text_between(self, start: int, stop: int) -> str:
-        """Source-order text of visible tokens in stream-index [start, stop)."""
-        return " ".join(t.text for t in self._tokens[start:stop] if t.type != EOF)
 
     def __len__(self):
         return len(self._tokens)

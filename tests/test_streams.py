@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.runtime.char_stream import CharStream
+from repro.runtime.streaming import StreamingTokenStream
 from repro.runtime.token import EOF, Token, DEFAULT_CHANNEL, HIDDEN_CHANNEL
 from repro.runtime.token_stream import ListTokenStream, LookaheadWatcher
 
@@ -141,6 +142,73 @@ class TestListTokenStream:
         for k in range(1, len(types) + 2):
             s.la(k)
         assert s.index == before
+
+
+class TestListLookahead:
+    """Pins what the direct-index ``la``/``lt`` fast paths must keep."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_offsets_past_eof_stay_sticky(self, k):
+        s = ListTokenStream(_toks("a", "b"))
+        s.seek(2)  # parked on EOF
+        assert s.la(k) == EOF
+        assert s.lt(k).type == EOF
+        s.seek(1)
+        assert s.la(k) == (2 if k == 1 else EOF)
+        assert s.lt(k).type == s.la(k)
+
+    @pytest.mark.parametrize("k", [-1, -2, -50])
+    def test_negative_offsets_clamp_to_first_token(self, k):
+        s = ListTokenStream(_toks("a", "b", "c"))
+        assert s.lt(k).text == "a"
+        assert s.la(k) == 1
+        s.consume()
+        s.consume()
+        assert s.lt(-1).text == "b"
+        assert s.lt(-2).text == "a"
+        assert s.la(-50) == 1
+
+    def test_offset_zero_raises(self):
+        s = ListTokenStream(_toks("a"))
+        with pytest.raises(ValueError):
+            s.lt(0)
+        with pytest.raises(ValueError):
+            s.la(0)
+
+    def test_la_after_seek(self):
+        s = ListTokenStream(_toks("a", "b", "c"))
+        s.seek(2)
+        assert [s.la(k) for k in (1, 2, 3)] == [3, EOF, EOF]
+        s.seek(0)
+        assert [s.la(k) for k in (1, 2, 3)] == [1, 2, 3]
+        s.seek(99)  # clamps onto EOF
+        assert s.la(1) == EOF and s.lt(1).type == EOF
+
+    def test_la_after_consume_at_eof(self):
+        s = ListTokenStream(_toks("a"))
+        s.consume()
+        eof = s.consume()
+        assert eof.type == EOF
+        s.consume()
+        assert s.la(1) == EOF and s.la(2) == EOF
+        assert s.lt(-1).text == "a"
+
+    @given(st.lists(st.integers(1, 5), max_size=12),
+           st.lists(st.integers(0, 3), max_size=20))
+    def test_matches_streaming_stream(self, types, steps):
+        # Same tokens through both streams: every forward lookahead and
+        # the previous token agree after any run of consumes.
+        listed = ListTokenStream([Token(t, str(t)) for t in types])
+        streamed = StreamingTokenStream([Token(t, str(t)) for t in types])
+        for n in steps:
+            for _ in range(n):
+                assert listed.consume().type == streamed.consume().type
+            assert listed.index == streamed.index
+            for k in range(1, 5):
+                assert listed.la(k) == streamed.la(k)
+                assert listed.lt(k).text == streamed.lt(k).text
+            if listed.index > 0:
+                assert listed.lt(-1).text == streamed.lt(-1).text
 
 
 class TestLookaheadWatcher:
