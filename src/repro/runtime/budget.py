@@ -35,8 +35,8 @@ class ParserBudget:
         Total speculative sub-parses launched during the parse.
     ``max_rule_depth``
         Maximum rule-invocation depth — the parse-time analogue of the
-        analysis recursion bound *m*; converts an imminent Python
-        ``RecursionError`` on deeply nested input into a typed error.
+        analysis recursion bound *m*; bounds the parser's frame stack
+        on deeply nested input (rule calls cost no Python frames).
     ``max_recovery_attempts``
         Panic-mode recoveries allowed at one stream position before the
         parse is declared unrecoverable (a stuck recovery loop otherwise

@@ -23,7 +23,7 @@ suppressed until a token matches for real (ANTLR's
 
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import FrozenSet
 
 from repro.exceptions import MismatchedTokenError, RecognitionError
 from repro.runtime.token import EOF, Token
@@ -140,7 +140,3 @@ class DefaultErrorStrategy(SingleTokenDeletionStrategy):
         if telemetry is not None:
             telemetry.record_recovery("insert", rule_name, stream.index)
         return missing
-
-
-def format_errors(errors: List[RecognitionError]) -> str:
-    return "\n".join(str(e) for e in errors)

@@ -50,7 +50,7 @@ from repro.runtime.errors import (
 )
 from repro.runtime.token import EOF
 from repro.runtime.token_stream import TokenStream
-from repro.runtime.trees import ErrorNode, RuleNode, TokenNode, TreeBuilder
+from repro.runtime.trees import ErrorNode, RuleNode, TreeBuilder
 
 _MEMO_FAILED = -2  # sentinel stop index for memoized failures
 
@@ -314,103 +314,205 @@ class LLStarParser:
     def speculating(self) -> bool:
         return self._speculating > 0
 
-    def _run_rule(self, rule_name: str, arg_values: List[Any]) -> Optional[RuleNode]:
-        start, stop, params = self._rule_programs[rule_name]
-        speculating = self._speculating
-        options = self.options
+    def _run_rule(self, callee: str, args: List[Any]) -> Optional[RuleNode]:
+        """Run rule ``callee`` and every rule it calls in one loop over the
+        lowered program, waiting callers parked as activation records on
+        an explicit stack (DESIGN.md §5.2).  Speculation re-enters this
+        method on its own stack, so ``speculating`` is fixed per loop."""
+        ops = self._ops
+        programs = self._rule_programs
         stream = self.stream
-        memo_key = None
-        if speculating and options.memoize and not params:
-            memo_key = (rule_name, stream.index)
-            cached = self._memo.get(memo_key)
-            if cached is not None:
-                if cached == _MEMO_FAILED:
-                    raise RecognitionError(
-                        "memoized failure of rule %s" % rule_name,
-                        token=stream.lt(1), index=stream.index)
-                stream.seek(cached)
-                return None  # tree building is off while speculating
-
-        # Incremental-reparse probe, the memo probe's sibling: a
-        # previous parse derived this rule at this (new) position from
-        # tokens that have not changed, so its subtree is this parse's
-        # derivation verbatim — graft it and skip the region.  Off
-        # while speculating (no tree), during recovery mode (grafting
-        # would skip the match that ends cascade suppression), and for
-        # parameterized invocations (the subtree may depend on args).
-        if (self._reuse is not None and not speculating
-                and not self._error_recovery_mode
-                and options.build_tree and not arg_values):
-            reused = self._reuse.take(rule_name, stream.index)
-            if reused is not None:
-                return self._graft(reused)
-
-        frame: Dict[str, Any] = dict(zip(params, arg_values)) if params else {}
-        # The builder opens a node at the entry stream position; the
-        # node attaches to its parent only at close, so a failed rule
-        # (no recovery) leaves nothing behind in the tree.
-        node = (self._builder.open_rule(rule_name, stream.index)
-                if options.build_tree and not speculating
-                else None)
-        closed = False
-        impure_mark = self._impure_ops
-        frame["ctx"] = node
+        builder = self._builder
+        memo = self._memo
+        follow_stack = self._follow_stack
+        options = self.options
+        speculating = self._speculating
+        memoize = speculating and options.memoize
+        build = options.build_tree and not speculating
+        reuse = self._reuse if build else None
         trace = options.trace
-        if trace is not None:
-            trace.enter_rule(rule_name, stream.index, speculating > 0)
-        tel = self._telemetry
-        rule_span = None
-        if tel is not None and not speculating:
-            tel.record_rule(rule_name)
-            if tel.trace_rules:
-                rule_span = tel.start_span("rule:" + rule_name)
-        self._rule_depth += 1
+        tel = None if speculating else self._telemetry
+        budget = options.budget
+        max_depth = budget.max_rule_depth if budget is not None else None
+        recover = options.recover and not speculating
+        # One (resume sid, stop sid, rule name, arg frame, node, memo key,
+        # telemetry span, params, impure mark) per waiting caller.
+        callers: List[tuple] = []
+        call = None  # the OP_CALL naming ``callee`` (None: the entry rule)
+        # The running activation; ``rule_name`` is None while none runs.
+        sid = stop = impure_mark = 0
+        rule_name = frame = node = memo_key = rule_span = params = None
         try:
-            budget = options.budget
-            if budget is not None:
-                if (budget.max_rule_depth is not None
-                        and self._rule_depth > budget.max_rule_depth):
-                    raise BudgetExceededError(
-                        "rule depth", budget.max_rule_depth,
-                        spent=self._rule_depth, token=stream.lt(1),
-                        index=stream.index)
-                self._check_deadline()
-            try:
-                self._walk(start, stop, rule_name, frame, node)
-            except RecognitionError as error:
-                if memo_key is not None:
-                    self._memo[memo_key] = _MEMO_FAILED
-                if trace is not None:
-                    trace.exit_rule(rule_name, stream.index, failed=True)
-                if options.recover and not speculating:
-                    self._recover(rule_name, error)
-                    if node is not None:
-                        self._builder.close_rule(stream.index)
-                        closed = True
-                    return node
-                raise
+            while True:
+                try:
+                    while True:
+                        if callee is not None:
+                            name, callee = callee, None
+                            start, end, callee_params = programs[name]
+                            key = None
+                            if memoize and not callee_params:
+                                key = (name, stream.index)
+                                cached = memo.get(key)
+                                if cached is not None:
+                                    if cached == _MEMO_FAILED:
+                                        raise RecognitionError(  # the caller's
+                                            "memoized failure of rule %s" % name,
+                                            token=stream.lt(1), index=stream.index)
+                                    stream.seek(cached)
+                                    if rule_name is None:
+                                        return None  # no tree while speculating
+                                    sid = call[1]
+                                    continue
+                            # Incremental-reparse probe, the memo probe's
+                            # sibling.  Off while speculating (no tree), in
+                            # recovery mode (grafting would skip the match
+                            # that ends cascade suppression), and with args
+                            # (the subtree may depend on them).
+                            if (reuse is not None and not args
+                                    and not self._error_recovery_mode):
+                                reused = reuse.take(name, stream.index)
+                                if reused is not None:
+                                    reused = self._graft(reused)
+                                    if rule_name is None:
+                                        return reused
+                                    sid = call[1]
+                                    continue
+                            if rule_name is not None:
+                                follow_stack.append(call[4])
+                                callers.append((call[1], stop, rule_name, frame,
+                                                node, memo_key, rule_span, params,
+                                                impure_mark))
+                            self._rule_depth += 1
+                            rule_name, sid, stop, params, memo_key = (
+                                name, start, end, callee_params, key)
+                            frame = dict(zip(params, args)) if params else {}
+                            # The node attaches to its parent only at close,
+                            # so a failed rule leaves nothing behind.
+                            node = (builder.open_rule(rule_name, stream.index)
+                                    if build else None)
+                            impure_mark = self._impure_ops
+                            frame["ctx"] = node
+                            if trace is not None:
+                                trace.enter_rule(rule_name, stream.index,
+                                                 speculating > 0)
+                            rule_span = None
+                            if tel is not None:
+                                tel.record_rule(rule_name)
+                                if tel.trace_rules:
+                                    rule_span = tel.start_span("rule:" + rule_name)
+                            if budget is not None:
+                                if (max_depth is not None
+                                        and self._rule_depth > max_depth):
+                                    raise BudgetExceededError(
+                                        "rule depth", max_depth,
+                                        spent=self._rule_depth,
+                                        token=stream.lt(1), index=stream.index)
+                                self._check_deadline()
+                        while sid != stop:
+                            op = ops[sid]
+                            kind = op[0]
+                            if kind == OP_MATCH or kind == OP_MATCH_SET:
+                                token = stream.lt(1)
+                                if (token.type == op[2] if kind == OP_MATCH
+                                        else token.type in op[2]):
+                                    stream.consume()
+                                    if speculating:
+                                        if stream.index > self._deepest_spec_index:
+                                            self._deepest_spec_index = stream.index
+                                    else:
+                                        self._error_recovery_mode = False
+                                else:
+                                    token = self._mismatch(op[3], token, rule_name)
+                                if node is not None:
+                                    builder.add_token(token)
+                                sid = op[1]
+                            elif kind == OP_PREDICT:
+                                alt = self._adaptive_predict(op[1], frame)
+                                if node is not None and op[3]:
+                                    node.alt = alt
+                                sid = op[2][alt - 1]
+                            elif kind == OP_CALL:
+                                args = ([self._eval_expr(a, frame) for a in op[3]]
+                                        if op[3] else ())
+                                callee = op[2]
+                                call = op
+                                break
+                            elif kind == OP_SEMPRED:
+                                if not self._eval_predicate(op[2], frame):
+                                    raise FailedPredicateError(
+                                        op[2], token=stream.lt(1),
+                                        index=stream.index, rule_name=rule_name)
+                                sid = op[1]
+                            else:  # OP_ACTION
+                                self._execute_action(op[2], frame)
+                                sid = op[1]
+                        else:
+                            self._rule_depth -= 1
+                            if rule_span is not None:
+                                tel.end_span(rule_span)
+                            if memo_key is not None:
+                                memo[memo_key] = stream.index
+                            if trace is not None:
+                                trace.exit_rule(rule_name, stream.index, failed=False)
+                            if node is not None:
+                                if (self._track_look and not params
+                                        and self._impure_ops == impure_mark):
+                                    # Pure derivation: tokens [start,
+                                    # max(stop, look_stop)] fully determine
+                                    # this subtree.  The global high-water
+                                    # mark is conservative but never
+                                    # understates the reach.
+                                    node.look_stop = self._look_hwm
+                                builder.close_rule(stream.index)
+                            if not callers:
+                                return node
+                            (sid, stop, rule_name, frame, node, memo_key,
+                             rule_span, params, impure_mark) = callers.pop()
+                            follow_stack.pop()
+                except RecognitionError as error:
+                    # The failed activation records its failure, then either
+                    # recovers and returns to its caller, or is abandoned
+                    # and its caller fails in turn.
+                    while rule_name is not None:
+                        if memo_key is not None:
+                            memo[memo_key] = _MEMO_FAILED
+                        if trace is not None:
+                            trace.exit_rule(rule_name, stream.index, failed=True)
+                        if recover:
+                            self._recover(rule_name, error)
+                            if node is not None:
+                                builder.close_rule(stream.index)
+                        elif node is not None:
+                            builder.abandon_rule()
+                        self._rule_depth -= 1
+                        if rule_span is not None:
+                            tel.end_span(rule_span)
+                        if not callers:
+                            if recover:
+                                return node
+                            rule_name = None
+                            break
+                        (sid, stop, rule_name, frame, node, memo_key,
+                         rule_span, params, impure_mark) = callers.pop()
+                        follow_stack.pop()
+                        if recover:
+                            break
+                    if rule_name is None:
+                        raise
         except BaseException:
-            if node is not None and not closed:
-                self._builder.abandon_rule()
+            # Budget, action and other errors (one raised by _recover too)
+            # unwind every activation: no memo store, no trace exit.
+            while rule_name is not None:
+                if node is not None:
+                    builder.abandon_rule()
+                self._rule_depth -= 1
+                if rule_span is not None:
+                    tel.end_span(rule_span)
+                rule_name = None
+                if callers:
+                    _, _, rule_name, _, node, _, rule_span, _, _ = callers.pop()
+                    follow_stack.pop()
             raise
-        finally:
-            self._rule_depth -= 1
-            if rule_span is not None:
-                tel.end_span(rule_span)
-        if memo_key is not None:
-            self._memo[memo_key] = stream.index
-        if trace is not None:
-            trace.exit_rule(rule_name, stream.index, failed=False)
-        if node is not None:
-            if (self._track_look and not params
-                    and self._impure_ops == impure_mark):
-                # Pure derivation: tokens [start, max(stop, look_stop)]
-                # fully determine this subtree.  The global high-water
-                # mark is conservative (it may reflect lookahead from
-                # earlier in the parse) but never understates the reach.
-                node.look_stop = self._look_hwm
-            self._builder.close_rule(stream.index)
-        return node
 
     def _graft(self, node: RuleNode) -> RuleNode:
         """Splice a subtree reused from a previous parse into the tree
@@ -431,58 +533,6 @@ class LLStarParser:
         if self._telemetry is not None:
             self._telemetry.record_reuse(node.rule_name, node.start, node.stop)
         return node
-
-    def _walk(self, sid: int, stop: int, rule_name: str,
-              frame: Dict[str, Any], node: Optional[RuleNode]) -> None:
-        """Run the lowered program from ``sid`` to ``stop``.  Nested
-        speculation unwinds before it returns, so its depth is read once."""
-        ops = self._ops
-        stream = self.stream
-        builder = self._builder
-        speculating = self._speculating
-        while sid != stop:
-            op = ops[sid]
-            kind = op[0]
-            if kind == OP_MATCH or kind == OP_MATCH_SET:
-                token = stream.lt(1)
-                if (token.type == op[2] if kind == OP_MATCH
-                        else token.type in op[2]):
-                    stream.consume()
-                    if speculating:
-                        if stream.index > self._deepest_spec_index:
-                            self._deepest_spec_index = stream.index
-                    else:
-                        self._error_recovery_mode = False
-                else:
-                    token = self._mismatch(op[3], token, rule_name)
-                if node is not None:
-                    builder.add_token(token)
-                sid = op[1]
-            elif kind == OP_PREDICT:
-                alt = self._adaptive_predict(op[1], frame)
-                if node is not None and op[3]:
-                    node.alt = alt
-                sid = op[2][alt - 1]
-            elif kind == OP_CALL:
-                args = [self._eval_expr(a, frame) for a in op[3]] if op[3] else ()
-                follow_stack = self._follow_stack
-                follow_stack.append(op[4])
-                try:
-                    # The child attaches to ``node`` via the builder when
-                    # it closes; nothing to do here on success.
-                    self._run_rule(op[2], args)
-                finally:
-                    follow_stack.pop()
-                sid = op[1]
-            elif kind == OP_SEMPRED:
-                if not self._eval_predicate(op[2], frame):
-                    raise FailedPredicateError(
-                        op[2], token=stream.lt(1),
-                        index=stream.index, rule_name=rule_name)
-                sid = op[1]
-            else:  # OP_ACTION
-                self._execute_action(op[2], frame)
-                sid = op[1]
 
     def _mismatch(self, transition, token, rule_name: str):
         """``token`` failed ``transition``: raise while speculating, else

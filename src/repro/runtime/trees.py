@@ -301,9 +301,18 @@ class RuleNode(ParseTree):
             self.look_stop += delta_tokens
 
     def walk(self) -> Iterator[ParseTree]:
+        """Pre-order, on an explicit stack of child iterators (no Python
+        recursion, so arbitrarily deep trees walk)."""
         yield self
-        for c in self.children:
-            yield from c.walk()
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                yield child
+                if isinstance(child, RuleNode) and child.children:
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
 
     def child_rules(self, name: Optional[str] = None) -> List["RuleNode"]:
         out = [c for c in self.children if isinstance(c, RuleNode)]
@@ -321,17 +330,35 @@ class RuleNode(ParseTree):
         return None
 
     def to_sexpr(self) -> str:
-        if not self.children:
-            return "(%s)" % self.rule_name
-        inner = " ".join(c.to_sexpr() for c in self.children)
-        return "(%s %s)" % (self.rule_name, inner)
+        return self._sexpr(False)
 
     def to_spanned_sexpr(self) -> str:
-        head = "%s[%d:%d]" % (self.rule_name, self.start, self.stop)
-        if not self.children:
-            return "(%s)" % head
-        inner = " ".join(c.to_spanned_sexpr() for c in self.children)
-        return "(%s %s)" % (head, inner)
+        return self._sexpr(True)
+
+    def _sexpr(self, spanned: bool) -> str:
+        """Both s-expression forms, on an explicit stack of child
+        iterators so arbitrarily deep trees serialise."""
+        out = []
+        stack = [iter((self,))]
+        while stack:
+            for child in stack[-1]:
+                cls = child.__class__
+                if cls is TokenNode:
+                    out.append(" %s@%d" % (child.token.text, child.token.index)
+                               if spanned else " " + child.token.text)
+                elif cls is RuleNode:
+                    out.append(" (%s[%d:%d]" % (child.rule_name, child.start, child.stop)
+                               if spanned else " (" + child.rule_name)
+                    stack.append(iter(child.children))
+                    break
+                else:
+                    out.append(" " + (child.to_spanned_sexpr() if spanned
+                                      else child.to_sexpr()))
+            else:
+                stack.pop()
+                if stack:  # the outermost iterator holds only this node
+                    out.append(")")
+        return "".join(out)[1:]
 
     def __repr__(self):
         return "RuleNode(%s, %d children)" % (self.rule_name, len(self.children))
@@ -391,18 +418,6 @@ class TreeBuilder:
     def add_token(self, token) -> TokenNode:
         node = TokenNode(token)
         self._stack[-1].add(node)
-        return node
-
-    def add_error(self, error=None, tokens=(), inserted=None,
-                  at: int = -1) -> ErrorNode:
-        """Record a repair on the innermost open rule (no-op target when
-        nothing is open: the node is still returned, unattached)."""
-        node = ErrorNode(error=error, tokens=tokens, inserted=inserted, at=at)
-        if self._stack:
-            cur = self._stack[-1]
-            cur.add(node)
-            if node.stop > cur.stop:
-                cur.stop = node.stop
         return node
 
     def attach(self, node: ParseTree) -> bool:
